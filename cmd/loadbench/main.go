@@ -47,7 +47,7 @@ func main() {
 		instances    = flag.Int("instances", 1, "redirector instances behind the L4 balancer (1 = no cluster)")
 		policy       = flag.String("policy", "hash", "balancer policy: hash | least")
 		killNode     = flag.Int("kill-node", 0, "cluster node to kill mid-load (with -kill-at)")
-		killAt       = flag.Duration("kill-at", 0, "kill -kill-node this long into the run (0 = no kill)")
+		killAt       = flag.Duration("kill-at", 0, "kill -kill-node on its first request to the backend this long into the run (0 = no kill)")
 		restartAfter = flag.Duration("restart-after", 0, "restart the killed node this long after the kill (0 = stays down)")
 		retries      = flag.Int("request-retries", 0, "per-request transport-failure retries (fresh connection each)")
 

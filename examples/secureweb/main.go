@@ -41,9 +41,17 @@ func main() {
 		log.Fatal(err)
 	}
 	var captured bytes.Buffer
+	sniffed := make(chan struct{})
 	go func() {
-		for f := range sniffer.Recv() {
-			captured.Write(f.Payload)
+		defer close(sniffed)
+		for {
+			frames, err := sniffer.DrainFrames(nil)
+			if err != nil {
+				return // closed, and every queued frame drained
+			}
+			for _, f := range frames {
+				captured.Write(f.Payload())
+			}
 		}
 	}()
 
@@ -113,7 +121,8 @@ func main() {
 	missing := fetch("/nothing", 3)
 	fmt.Printf("GET /nothing -> %d\n", missing.Status)
 
-	time.Sleep(100 * time.Millisecond) // let the sniffer drain
+	sniffer.Close()
+	<-sniffed
 	if bytes.Contains(captured.Bytes(), []byte(secretMarker)) {
 		fmt.Println("\n!!! the sensitive marker crossed the wire IN THE CLEAR")
 	} else {

@@ -271,7 +271,9 @@ func (c *Cluster) NodeAddr(i int) tcpip.Addr { return c.nodes[i].Addr }
 // KillNode is the chaos primitive: instance i dies abruptly — live
 // connections reset, session cache gone, stack off the fabric — as if
 // the box lost power. Idempotent. The balancer's probes notice on
-// their own clock; nothing tells it.
+// their own clock; nothing tells it. The stack goes first, so a
+// handler blocked on a silent peer fails at once instead of holding
+// the kill up.
 func (c *Cluster) KillNode(i int) {
 	node := c.nodes[i]
 	node.mu.Lock()
@@ -283,8 +285,8 @@ func (c *Cluster) KillNode(i int) {
 	stack, srv, health := node.stack, node.srv, node.health
 	node.mu.Unlock()
 	health.Close()
-	srv.Shutdown(0) // abort in-flight: a power cut drains nothing
 	stack.Close()
+	srv.Shutdown(0) // abort in-flight: a power cut drains nothing
 	node.hwg.Wait()
 }
 

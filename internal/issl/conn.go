@@ -40,16 +40,16 @@ type Conn struct {
 	rHMAC *sha1.HMACState
 
 	rbuf      []byte // decrypted-but-undelivered plaintext
-	rdScratch []byte // readRecord body scratch, owned by the reader
 	peerClose bool
 	closed    atomic.Bool
 
-	// pk is the transport's zero-copy receive interface, resolved once
-	// at construction when the transport offers it (tcpip.TCB does).
-	// With pk set, records are opened in place inside the transport's
-	// receive buffer — rbuf aliases it — and pendingDiscard tracks the
-	// consumed record bytes, released lazily before the next record
-	// read (or eagerly once rbuf drains). Owned by the reader.
+	// pk is the receive side of the transport, resolved once at
+	// construction: the transport itself when it offers Peek/Discard
+	// (tcpip.TCB does), else a peekAdapter over it. Records are opened
+	// in place inside the buffer it returns — rbuf aliases it — and
+	// pendingDiscard tracks the consumed record bytes, released lazily
+	// before the next record read (or eagerly once rbuf drains). Owned
+	// by the reader.
 	pk             peekTransport
 	pendingDiscard int
 
@@ -80,6 +80,8 @@ func newConn(tr io.ReadWriter, cfg Config) *Conn {
 	c := &Conn{tr: tr, cfg: cfg, rng: cfg.Rand, metrics: newConnMetrics(cfg.Metrics)}
 	if pk, ok := tr.(peekTransport); ok {
 		c.pk = pk
+	} else {
+		c.pk = &peekAdapter{r: tr}
 	}
 	return c
 }
@@ -264,10 +266,9 @@ func (c *Conn) Read(p []byte) (int, error) {
 				return 0, c.failAndAlert(err)
 			}
 			// rbuf was empty (the loop condition), so pt can be adopted
-			// directly: it aliases either the transport's pinned receive
-			// buffer (peek path) or rdScratch (fallback path), and the
-			// next readRecord only happens after rbuf drains — both
-			// backings are stable until then. No copy either way.
+			// directly: it aliases the peeked receive buffer, which is
+			// stable until the next readRecord, and that only happens
+			// after rbuf drains. No copy.
 			c.rbuf = pt
 			c.bytesIn += uint64(len(pt))
 			c.recordsIn++

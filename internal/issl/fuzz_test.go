@@ -22,9 +22,10 @@ type fuzzTransport struct{ r io.Reader }
 func (f *fuzzTransport) Read(p []byte) (int, error)  { return f.r.Read(p) }
 func (f *fuzzTransport) Write(p []byte) (int, error) { return len(p), nil }
 
-// fuzzKeyedConn builds a Conn with established directional keys but no
-// handshake, so the sealed-record path can be exercised directly.
-func fuzzKeyedConn(t testing.TB) *Conn {
+// fuzzKeyedConn builds a Conn over tr (nil for seal/open-only use) with
+// established directional keys but no handshake, so the sealed-record
+// path can be exercised directly.
+func fuzzKeyedConn(t testing.TB, tr io.ReadWriter) *Conn {
 	t.Helper()
 	key := bytes.Repeat([]byte{0x42}, 16)
 	w, err := aes.NewAES(key)
@@ -36,11 +37,10 @@ func fuzzKeyedConn(t testing.TB) *Conn {
 		t.Fatal(err)
 	}
 	mac := bytes.Repeat([]byte{0x69}, 20)
-	return &Conn{
-		wCipher: w, rCipher: r,
-		wMAC: mac, rMAC: mac,
-		rng: prng.NewXorshift(7),
-	}
+	c := newConn(tr, Config{Rand: prng.NewXorshift(7)})
+	c.wCipher, c.rCipher = w, r
+	c.wMAC, c.rMAC = mac, mac
+	return c
 }
 
 func FuzzISSLRecord(f *testing.F) {
@@ -54,7 +54,7 @@ func FuzzISSLRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Stream parse: read records until error/EOF. Must not panic,
 		// and every delivered body must match its declared length.
-		c := &Conn{tr: &fuzzTransport{r: bytes.NewReader(data)}}
+		c := newConn(&fuzzTransport{r: bytes.NewReader(data)}, Config{})
 		for i := 0; i < 8; i++ {
 			_, body, err := c.readRecord()
 			if err != nil {
@@ -67,14 +67,14 @@ func FuzzISSLRecord(f *testing.F) {
 
 		// Authenticity: arbitrary bytes must never open as a sealed
 		// record — the fuzzer cannot forge an HMAC-SHA1 tag.
-		rc := fuzzKeyedConn(t)
+		rc := fuzzKeyedConn(t, nil)
 		if pt, err := rc.openRecord(recData, data); err == nil {
 			t.Fatalf("openRecord accepted %d unauthenticated bytes -> %x", len(data), pt)
 		}
 
 		// Round-trip: treating the input as plaintext, seal then open
 		// must be the identity.
-		wc, rc2 := fuzzKeyedConn(t), fuzzKeyedConn(t)
+		wc, rc2 := fuzzKeyedConn(t, nil), fuzzKeyedConn(t, nil)
 		sealed, err := wc.sealRecord(recData, data)
 		if err != nil {
 			t.Fatalf("sealRecord(%d bytes): %v", len(data), err)
@@ -89,7 +89,7 @@ func FuzzISSLRecord(f *testing.F) {
 		// A single flipped ciphertext bit must flip the verdict too.
 		if len(sealed) > 0 {
 			sealed[len(sealed)/2] ^= 0x01
-			if _, err := fuzzKeyedConn(t).openRecord(recData, sealed); err == nil {
+			if _, err := fuzzKeyedConn(t, nil).openRecord(recData, sealed); err == nil {
 				t.Fatal("openRecord accepted a tampered sealed record")
 			}
 		}

@@ -24,8 +24,8 @@ import (
 //
 // The steady-state data path is allocation-free: records are sealed
 // in place into a staging buffer (appendSealed), opened in place in
-// the read scratch (openRecord), and MACed through per-direction
-// streaming HMAC states that reuse the key pad blocks.
+// the peeked receive buffer (openRecord), and MACed through
+// per-direction streaming HMAC states that reuse the key pad blocks.
 
 // Record types.
 const (
@@ -54,28 +54,62 @@ func (c *Conn) writeRecord(recType byte, body []byte) error {
 	return nil
 }
 
-// Deadline plumbing. The record layer is transport-agnostic; deadlines
-// are honored when the transport offers either the tcpip.TCB-style
-// per-call API or the net.Conn-style set-once API, and silently
+// peekTransport is the record layer's one receive interface: Peek
+// returns a view into the transport's receive buffer (pinning it
+// against movement) holding at least n bytes, and Discard consumes
+// bytes and releases the pin. tcpip.TCB implements it, so one buffer
+// carries the bytes from the wire to the plaintext the application
+// reads; any other transport gets a peekAdapter.
+type peekTransport interface {
+	Peek(n int, deadline time.Time) ([]byte, error)
+	Discard(n int)
+}
+
+// peekAdapter gives a plain io.Reader (net.Pipe, a Dynamic C socket)
+// the peekTransport interface. Peek reads exactly the bytes it is
+// short of into one reused buffer, so the stream is never read past
+// the record asked for and steady state allocates nothing. A deadline
+// is honored through SetReadDeadline when the reader has it, and is
 // best-effort otherwise.
-type deadlineReader interface {
-	ReadDeadline(buf []byte, deadline time.Time) (int, error)
+type peekAdapter struct {
+	r   io.Reader
+	buf []byte // bytes read and not yet discarded
 }
 
 type deadlineSetter interface {
 	SetReadDeadline(t time.Time) error
 }
 
-// peekTransport is the zero-copy receive interface: Peek returns a
-// view into the transport's receive buffer (pinning it against
-// movement) holding at least n bytes, and Discard consumes bytes and
-// releases the pin. tcpip.TCB implements it; when the transport does,
-// the record layer opens records in place inside the receive buffer,
-// so one buffer carries the bytes from the wire to the plaintext the
-// application reads.
-type peekTransport interface {
-	Peek(n int, deadline time.Time) ([]byte, error)
-	Discard(n int)
+// Peek follows tcpip.TCB's conventions: io.EOF when the stream ends
+// with nothing buffered, io.ErrUnexpectedEOF when it ends short of n.
+func (a *peekAdapter) Peek(n int, deadline time.Time) ([]byte, error) {
+	have := len(a.buf)
+	if have >= n {
+		return a.buf, nil
+	}
+	if cap(a.buf) < n {
+		a.buf = append(make([]byte, 0, n), a.buf...)
+	}
+	if ds, ok := a.r.(deadlineSetter); ok && !deadline.IsZero() {
+		// Best effort: a reader that refuses the deadline reads
+		// without one, like a reader that has none.
+		ds.SetReadDeadline(deadline)
+		defer ds.SetReadDeadline(time.Time{})
+	}
+	m, err := io.ReadFull(a.r, a.buf[have:n])
+	a.buf = a.buf[:have+m]
+	if err != nil {
+		if err == io.EOF && have > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return a.buf, nil
+}
+
+// Discard drops n bytes from the front of the buffer.
+func (a *peekAdapter) Discard(n int) {
+	a.buf = a.buf[:copy(a.buf, a.buf[min(n, len(a.buf)):])]
 }
 
 // flushPeeked releases record bytes consumed from the peek transport.
@@ -86,70 +120,16 @@ func (c *Conn) flushPeeked() {
 	}
 }
 
-// readFull fills buf from the transport, honoring c.readDeadline.
-func (c *Conn) readFull(buf []byte) error {
-	dl := c.readDeadline
-	if !dl.IsZero() {
-		if dr, ok := c.tr.(deadlineReader); ok {
-			n := 0
-			for n < len(buf) {
-				m, err := dr.ReadDeadline(buf[n:], dl)
-				n += m
-				if err != nil {
-					if err == io.EOF && n > 0 {
-						err = io.ErrUnexpectedEOF
-					}
-					return err
-				}
-			}
-			return nil
-		}
-		if ds, ok := c.tr.(deadlineSetter); ok {
-			ds.SetReadDeadline(dl)
-			defer ds.SetReadDeadline(time.Time{})
-		}
-	}
-	_, err := io.ReadFull(c.tr, buf)
-	return err
-}
-
 // readRecord reads exactly one record, returning its type and body.
-// The body aliases a per-connection scratch buffer (or, on a peek
-// transport, the transport's own receive buffer) that is valid only
-// until the next readRecord call; callers that keep record contents
-// (the transcript, the ticket) copy what they need.
+// The record is never copied out of the peeked receive buffer, so the
+// body is valid only until the next readRecord call; callers that keep
+// record contents (the transcript, the ticket) copy what they need.
+// The previous record's bytes are released first; then the header is
+// peeked, the full record is peeked (re-pinning, which invalidates the
+// header view — its fields are read into locals before that), and the
+// body view is handed back with its length registered for the next
+// flush.
 func (c *Conn) readRecord() (byte, []byte, error) {
-	if c.pk != nil {
-		return c.readRecordPeek()
-	}
-	var hdr [recordHeaderLen]byte
-	if err := c.readFull(hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	if hdr[1] != protocolVersion {
-		return 0, nil, fmt.Errorf("%w: version %#x", ErrBadRecord, hdr[1])
-	}
-	n := int(hdr[2])<<8 | int(hdr[3])
-	if cap(c.rdScratch) < n {
-		c.rdScratch = make([]byte, n)
-	}
-	body := c.rdScratch[:n]
-	if err := c.readFull(body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, fmt.Errorf("%w: truncated body: %v", ErrBadRecord, err)
-	}
-	return hdr[0], body, nil
-}
-
-// readRecordPeek is readRecord over a peek transport: the record is
-// never copied out of the transport's receive buffer. The previous
-// record's bytes are released first; then the header is peeked, the
-// full record is peeked (re-pinning, which invalidates the header
-// view — its fields are read into locals before that), and the body
-// view is handed back with its length registered for the next flush.
-func (c *Conn) readRecordPeek() (byte, []byte, error) {
 	c.flushPeeked()
 	hdr, err := c.pk.Peek(recordHeaderLen, c.readDeadline)
 	if err != nil {

@@ -42,7 +42,7 @@ func TestSealMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for i := 0; i < 1_000; i++ {
 		seed := uint64(1000 + i)
-		c := fuzzKeyedConn(t)
+		c := fuzzKeyedConn(t, nil)
 		c.rng = prng.NewXorshift(seed)
 		c.wSeq = uint64(rng.Intn(1 << 20))
 		pt := make([]byte, rng.Intn(600))
@@ -65,7 +65,7 @@ func TestRecordSealOpenZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
 	}
-	w, r := fuzzKeyedConn(t), fuzzKeyedConn(t)
+	w, r := fuzzKeyedConn(t, nil), fuzzKeyedConn(t, nil)
 	pt := make([]byte, 512)
 	buf := make([]byte, 0, 1024)
 	var sealErr error
@@ -104,10 +104,9 @@ func TestRecordSealOpenZeroAlloc(t *testing.T) {
 // transport in far fewer calls than records, and that a full-duplex
 // round trip through the batched path still delivers the bytes.
 func TestWriteBatchesRecords(t *testing.T) {
-	w := fuzzKeyedConn(t)
-	w.cfg.Profile = ProfileEmbedded // 1 KiB records: forces fragmentation
 	ct := &countingTransport{}
-	w.tr = ct
+	w := fuzzKeyedConn(t, ct)
+	w.cfg.Profile = ProfileEmbedded // 1 KiB records: forces fragmentation
 	payload := make([]byte, 40_000) // ~40 records at 1 KiB
 	rand.New(rand.NewSource(52)).Read(payload)
 	n, err := w.Write(payload)
@@ -122,8 +121,7 @@ func TestWriteBatchesRecords(t *testing.T) {
 	}
 
 	// Replay the batched stream through a reading conn.
-	r := fuzzKeyedConn(t)
-	r.tr = &fuzzTransport{r: bytes.NewReader(ct.buf.Bytes())}
+	r := fuzzKeyedConn(t, &fuzzTransport{r: bytes.NewReader(ct.buf.Bytes())})
 	got := make([]byte, 0, len(payload))
 	rbuf := make([]byte, 4096)
 	for len(got) < len(payload) {
@@ -150,7 +148,7 @@ func (c *countingTransport) Write(p []byte) (int, error) {
 }
 
 func BenchmarkRecordSeal_1K(b *testing.B) {
-	w := fuzzKeyedConn(b)
+	w := fuzzKeyedConn(b, nil)
 	pt := make([]byte, 1024)
 	buf := make([]byte, 0, 2048)
 	b.SetBytes(1024)
@@ -164,7 +162,7 @@ func BenchmarkRecordSeal_1K(b *testing.B) {
 }
 
 func BenchmarkRecordOpen_1K(b *testing.B) {
-	w, r := fuzzKeyedConn(b), fuzzKeyedConn(b)
+	w, r := fuzzKeyedConn(b, nil), fuzzKeyedConn(b, nil)
 	pt := make([]byte, 1024)
 	rec, err := w.appendSealed(nil, recData, pt)
 	if err != nil {

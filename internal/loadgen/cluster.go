@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -22,7 +23,7 @@ import (
 // runRealCluster is runReal's fleet-mode tail: hub, cli and back are
 // already up (owned and closed by the caller); the backend echo
 // service is listening.
-func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stack) (*MeasuredReport, error) {
+func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stack, gate *killGate) (*MeasuredReport, error) {
 	ccfg := cluster.Config{
 		Nodes:            cfg.Instances,
 		ListenPort:       redirectorPort,
@@ -58,16 +59,25 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 	if cfg.KillAfter > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
+		killed := make(chan struct{})
 		go func() {
 			select {
 			case <-stop:
 				return
 			case <-time.After(cfg.KillAfter):
 			}
-			cl.KillNode(cfg.KillNode)
-			ks.killedAt.Store(time.Now().UnixNano())
+			gate.arm(cl.NodeAddr(cfg.KillNode), func() {
+				cl.KillNode(cfg.KillNode)
+				ks.killedAt.Store(time.Now().UnixNano())
+				close(killed)
+			})
 			if cfg.RestartAfter <= 0 {
 				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-killed:
 			}
 			select {
 			case <-stop:
@@ -159,4 +169,34 @@ func runRealCluster(cfg *Config, p *plan, hub *netsim.Hub, cli, back *tcpip.Stac
 		m.WallLatency = &pct
 	}
 	return m, nil
+}
+
+// killGate makes the node kill land on a request in flight. On the
+// wall clock alone the kill could strike while the victim ran only
+// handshakes (the dialer retries those on its own) or idle
+// connections, and request recovery would go untested. Once armed,
+// the backend's first echo bound for the victim runs the kill before
+// it is written, so that request dies with the victim.
+type killGate struct {
+	mu     sync.Mutex
+	victim tcpip.Addr
+	kill   func() // nil until armed, and once run
+}
+
+// arm makes the next echo to victim run kill first.
+func (g *killGate) arm(victim tcpip.Addr, kill func()) {
+	g.mu.Lock()
+	g.victim, g.kill = victim, kill
+	g.mu.Unlock()
+}
+
+// hold is called by the backend before it echoes to peer. While the
+// kill runs, every echo waits for it.
+func (g *killGate) hold(peer tcpip.Addr) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.kill != nil && peer == g.victim {
+		g.kill()
+		g.kill = nil
+	}
 }

@@ -125,8 +125,11 @@ type Config struct {
 	Policy string
 	// KillAfter kills instance KillNode that long into the measured
 	// run — the node-kill chaos plan (0 = no kill; cluster mode only).
-	// RestartAfter restarts it that long after the kill (0 = stays
-	// dead). The post-kill recovery time lands in the cluster report.
+	// The kill waits past KillAfter for the node's next request to
+	// reach the backend and lands before the echo, so it always cuts a
+	// request in flight. RestartAfter restarts it that long after the
+	// kill (0 = stays dead). The post-kill recovery time lands in the
+	// cluster report.
 	KillAfter    time.Duration
 	KillNode     int
 	RestartAfter time.Duration
@@ -381,7 +384,8 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 	}
 	defer back.Close()
 
-	if err := startBackend(back); err != nil {
+	gate := &killGate{}
+	if err := startBackend(back, gate); err != nil {
 		return nil, err
 	}
 
@@ -390,7 +394,7 @@ func runReal(cfg *Config, p *plan) (*MeasuredReport, error) {
 		// balancer takes that address so the client fleet cannot tell
 		// one redirector from a fleet of them.
 		mid.Close()
-		return runRealCluster(cfg, p, hub, cli, back)
+		return runRealCluster(cfg, p, hub, cli, back, gate)
 	}
 
 	rcfg := redirector.Config{
@@ -494,8 +498,9 @@ func runFleet(cfg *Config, cli *tcpip.Stack, p *plan, ks *killState) (*fleetCoun
 	return &fc, time.Since(start), wallHist
 }
 
-// startBackend serves plaintext echo until its stack closes.
-func startBackend(s *tcpip.Stack) error {
+// startBackend serves plaintext echo until its stack closes. Each echo
+// passes gate first, which may run a pending node kill.
+func startBackend(s *tcpip.Stack, gate *killGate) error {
 	l, err := s.Listen(backendPort, 16)
 	if err != nil {
 		return err
@@ -508,10 +513,12 @@ func startBackend(s *tcpip.Stack) error {
 			}
 			go func(c *tcpip.TCB) {
 				defer c.Close()
+				peer, _ := c.RemoteAddr()
 				buf := make([]byte, 4096)
 				for {
 					n, err := c.ReadDeadline(buf, time.Now().Add(30*time.Second))
 					if n > 0 {
+						gate.hold(peer)
 						if _, werr := c.Write(buf[:n]); werr != nil {
 							return
 						}

@@ -8,23 +8,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// drain collects every frame currently deliverable on p without blocking
-// beyond the grace period.
-func drain(p *Port, grace time.Duration) []Frame {
-	var got []Frame
-	for {
-		select {
-		case f, ok := <-p.Recv():
-			if !ok {
-				return got
-			}
-			got = append(got, f)
-		case <-time.After(grace):
-			return got
-		}
-	}
-}
-
 func TestFaultPlanValidation(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
@@ -76,8 +59,8 @@ func TestClosedPortSendTypedError(t *testing.T) {
 	if err := a.Send(Frame{Dst: mac(2), Payload: []byte("gone")}); err != nil {
 		t.Errorf("send to closed port = %v", err)
 	}
-	if _, ok := <-b.Recv(); ok {
-		t.Error("closed port's recv channel still open")
+	if _, err := b.DrainFrames(nil); err != ErrPortClosed {
+		t.Errorf("DrainFrames on closed port = %v, want ErrPortClosed", err)
 	}
 	// The hub itself is still alive for other traffic.
 	c, err := h.Attach(mac(3))
@@ -102,7 +85,7 @@ func TestBurstLossGilbertElliott(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a.Send(Frame{Dst: mac(2), Payload: []byte{byte(i)}})
 	}
-	if got := drain(b, 50*time.Millisecond); len(got) != 0 {
+	if got := recvFrames(b, -1, 50*time.Millisecond); len(got) != 0 {
 		t.Errorf("%d frames survived a total burst", len(got))
 	}
 	st := h.FaultStats()
@@ -123,7 +106,7 @@ func TestBurstLossGilbertElliott(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a2.Send(Frame{Dst: mac(2), Payload: []byte{byte(i)}})
 	}
-	got := drain(b2, 100*time.Millisecond)
+	got := recvFrames(b2, -1, 100*time.Millisecond)
 	st2 := h2.FaultStats()
 	if st2.LostBurst == 0 || st2.BadEntries == 0 {
 		t.Errorf("no burst losses recorded: %+v", st2)
@@ -167,7 +150,7 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 	a, _ := h.Attach(mac(1))
 	b, _ := h.Attach(mac(2))
 	a.Send(Frame{Dst: mac(2), Payload: []byte("twice")})
-	got := drain(b, 50*time.Millisecond)
+	got := recvFrames(b, -1, 50*time.Millisecond)
 	if len(got) != 2 {
 		t.Fatalf("delivered %d copies, want 2", len(got))
 	}
@@ -191,7 +174,7 @@ func TestReorderingIsBoundedAndLossless(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a.Send(Frame{Dst: mac(3), Payload: []byte{0xff}})
 	}
-	got := drain(b, 100*time.Millisecond)
+	got := recvFrames(b, -1, 100*time.Millisecond)
 	seen := map[byte]int{}
 	outOfOrder := 0
 	last := -1
@@ -236,10 +219,10 @@ func TestPartitionDropsBothDirectionsThenHeals(t *testing.T) {
 	}
 	a.Send(Frame{Dst: mac(2), Payload: []byte("in")})
 	b.Send(Frame{Dst: mac(1), Payload: []byte("out")})
-	if got := drain(a, 30*time.Millisecond); len(got) != 0 {
+	if got := recvFrames(a, -1, 30*time.Millisecond); len(got) != 0 {
 		t.Error("frame escaped the partition outbound")
 	}
-	if got := drain(b, 30*time.Millisecond); len(got) != 0 {
+	if got := recvFrames(b, -1, 30*time.Millisecond); len(got) != 0 {
 		t.Error("frame crossed the partition inbound")
 	}
 	if h.FaultStats().PartitionDrops != 2 {
@@ -271,7 +254,7 @@ func TestPartitionHealsOnSchedule(t *testing.T) {
 	}
 	clk.Advance(uint64(80 * time.Millisecond))
 	a.Send(Frame{Dst: mac(2), Payload: []byte("after")})
-	got := drain(b, 50*time.Millisecond)
+	got := recvFrames(b, -1, 50*time.Millisecond)
 	if len(got) != 1 || string(got[0].Payload) != "after" {
 		t.Errorf("scheduled heal delivered %d frames", len(got))
 	}
@@ -303,7 +286,7 @@ func TestFaultScheduleReproducible(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			a.Send(Frame{Dst: mac(2), Payload: []byte{byte(i), byte(i >> 8), 0xAA}})
 		}
-		got := drain(b, 100*time.Millisecond)
+		got := recvFrames(b, -1, 100*time.Millisecond)
 		sent, dropped := h.Stats()
 		return got, h.FaultStats(), sent, dropped
 	}

@@ -197,31 +197,26 @@ var ErrPortClosed = errors.New("netsim: port closed")
 
 // Port is one attachment point on the hub — a NIC as seen by a host.
 //
-// A port runs in one of two receive modes, fixed at attach time.
-// Channel mode (Attach) hands each frame over a buffered channel with
-// its own heap-copied payload — simple, but one allocation+copy per
-// frame per receiver. Ring mode (AttachRing) writes frames back-to-back
-// into a slab the receiver drains wholesale with DrainFrames, so the
-// wire boundary costs one slab copy and zero steady-state allocations.
+// Received frames are written back-to-back into a slab the receiver
+// drains wholesale with DrainFrames, so the wire boundary costs one
+// slab copy and zero steady-state allocations.
 type Port struct {
 	hub     *Hub
 	mac     MAC
-	rx      chan Frame
 	promi   bool // promiscuous: receives every frame on the wire
-	closed  bool // guarded by hub.mu; rx is closed exactly once with it
+	closed  bool // guarded by hub.mu; closedCh is closed exactly once with it
 	metrics portMetrics
 
-	// Ring mode. rxBuf/rxEnds are the filling slab: frames are appended
-	// as [14-byte header | payload] and rxEnds records the end offset of
+	// rxBuf/rxEnds are the filling slab: frames are appended as
+	// [14-byte header | payload] and rxEnds records the end offset of
 	// each frame. DrainFrames swaps the filling slab with the drained
 	// one (drBuf/drEnds) under hub.mu, then builds views outside the
 	// lock, so senders never block on a slow receiver and the receiver
-	// touches the lock once per batch. All ring state is guarded by
-	// hub.mu except drBuf/drEnds/drFrames, which are owned by the
-	// (single) draining goroutine between swaps.
-	ring     bool
+	// touches the lock once per batch. All of it is guarded by hub.mu
+	// except drBuf/drEnds/drFrames, which are owned by the (single)
+	// draining goroutine between swaps.
 	notify   chan struct{} // cap 1: "the filling slab is non-empty"
-	closedCh chan struct{} // closed with p.closed when ring-mode
+	closedCh chan struct{}
 	rxBuf    []byte
 	rxEnds   []int
 	drBuf    []byte
@@ -233,30 +228,20 @@ type Port struct {
 // dropped, as a real NIC's ring buffer would.
 const rxQueueDepth = 256
 
-// Attach adds a port with the given MAC to the hub.
+// Attach adds a port with the given MAC to the hub. Received frames
+// accumulate in a slab the owner drains with DrainFrames.
 func (h *Hub) Attach(mac MAC) (*Port, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil, ErrHubClosed
-	}
-	for _, p := range h.ports {
-		if p.mac == mac {
-			return nil, fmt.Errorf("netsim: MAC %s already attached", mac)
-		}
-	}
-	p := &Port{hub: h, mac: mac, rx: make(chan Frame, rxQueueDepth),
-		metrics: newPortMetrics(h.reg, mac)}
-	h.ports = append(h.ports, p)
-	return p, nil
+	return h.attach(mac, false)
 }
 
-// AttachRing adds a ring-mode port: received frames accumulate in a
-// slab the owner drains with DrainFrames. This is the zero-copy-ingress
-// attachment the TCP/IP stack uses; channel-mode Attach remains for
-// receivers that want per-frame channel semantics (sniffers, test
-// rigs).
-func (h *Hub) AttachRing(mac MAC) (*Port, error) {
+// AttachPromiscuous adds a port that receives every frame on the wire
+// regardless of destination — the hub is a shared medium, so any NIC
+// in promiscuous mode (a sniffer, a protocol analyzer) sees it all.
+func (h *Hub) AttachPromiscuous(mac MAC) (*Port, error) {
+	return h.attach(mac, true)
+}
+
+func (h *Hub) attach(mac MAC, promi bool) (*Port, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -267,8 +252,7 @@ func (h *Hub) AttachRing(mac MAC) (*Port, error) {
 			return nil, fmt.Errorf("netsim: MAC %s already attached", mac)
 		}
 	}
-	p := &Port{hub: h, mac: mac,
-		ring:     true,
+	p := &Port{hub: h, mac: mac, promi: promi,
 		notify:   make(chan struct{}, 1),
 		closedCh: make(chan struct{}),
 		metrics:  newPortMetrics(h.reg, mac)}
@@ -276,10 +260,9 @@ func (h *Hub) AttachRing(mac MAC) (*Port, error) {
 	return p, nil
 }
 
-// enqueueLocked appends one frame to a ring port's filling slab.
-// hub.mu held. Overflow policy matches channel mode: at most
-// rxQueueDepth undrained frames, beyond which frames drop as a real
-// NIC ring would.
+// enqueueLocked appends one frame to the port's filling slab. hub.mu
+// held. At most rxQueueDepth frames wait undrained; beyond that frames
+// drop, as a real NIC ring would.
 func (p *Port) enqueueLocked(f Frame) {
 	h := p.hub
 	if len(p.rxEnds) >= rxQueueDepth {
@@ -306,12 +289,10 @@ func (p *Port) enqueueLocked(f Frame) {
 // views over the whole pending batch. The returned slice and every
 // view in it are valid only until the next DrainFrames call. stop, if
 // non-nil, aborts the wait (returning ErrPortClosed) — receivers pass
-// their shutdown channel. After the port closes, any frames already
-// queued are still drained; the error surfaces once the ring is empty.
+// their shutdown channel; an already-closed stop makes the call a
+// non-blocking poll. After the port closes, any frames already queued
+// are still drained; the error surfaces once the ring is empty.
 func (p *Port) DrainFrames(stop <-chan struct{}) ([]EthFrame, error) {
-	if !p.ring {
-		return nil, errors.New("netsim: DrainFrames on channel-mode port")
-	}
 	h := p.hub
 	for {
 		h.mu.Lock()
@@ -356,20 +337,6 @@ func (p *Port) DrainFrames(stop <-chan struct{}) ([]EthFrame, error) {
 	}
 }
 
-// AttachPromiscuous adds a port that receives every frame on the wire
-// regardless of destination — the hub is a shared medium, so any NIC
-// in promiscuous mode (a sniffer, a protocol analyzer) sees it all.
-func (h *Hub) AttachPromiscuous(mac MAC) (*Port, error) {
-	p, err := h.Attach(mac)
-	if err != nil {
-		return nil, err
-	}
-	h.mu.Lock()
-	p.promi = true
-	h.mu.Unlock()
-	return p, nil
-}
-
 // MAC returns the port's hardware address.
 func (p *Port) MAC() MAC { return p.mac }
 
@@ -407,10 +374,8 @@ func (p *Port) Send(f Frame) error {
 	}
 	if h.fault == nil && h.latency == 0 {
 		// Fast path: a clean zero-latency wire delivers inline, while
-		// the sender's payload is still live — ring targets copy it
-		// straight into their slab and channel targets get one shared
-		// heap copy made lazily, so a ring-only topology sends with
-		// zero allocations.
+		// the sender's payload is still live — targets copy it straight
+		// into their slabs, so the send allocates nothing.
 		h.deliverNowLocked(f, now)
 		h.mu.Unlock()
 		return nil
@@ -443,8 +408,8 @@ func (p *Port) Send(f Frame) error {
 	h.mu.Unlock()
 
 	deliver := func() {
-		// Re-take the hub lock: a port may have detached (closing its
-		// rx channel) between scheduling and delivery.
+		// Re-take the hub lock: a port may have detached between
+		// scheduling and delivery.
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		h.deliverLocked(deliveries)
@@ -485,13 +450,10 @@ func (h *Hub) targetsLocked(fr Frame, now time.Time) []*Port {
 }
 
 // deliverNowLocked fans one frame out to its targets immediately,
-// while the caller's payload is still live. Ring targets copy it into
-// their slab; channel targets share one lazily-made heap copy (their
-// consumers hold frames past this call). h.mu held.
+// while the caller's payload is still live; each target copies it into
+// its slab. h.mu held.
 func (h *Hub) deliverNowLocked(f Frame, now time.Time) {
 	h.metrics.framesSent.Inc()
-	var shared []byte // heap copy for channel targets, made at most once
-	haveShared := false
 	for _, q := range h.ports {
 		if q.mac == f.Src {
 			continue
@@ -507,64 +469,27 @@ func (h *Hub) deliverNowLocked(f Frame, now time.Time) {
 		if q.closed || (f.Dst != Broadcast && f.Dst != q.mac && !q.promi) {
 			continue
 		}
-		if q.ring {
-			q.enqueueLocked(f)
-			continue
-		}
-		if !haveShared {
-			haveShared = true
-			if f.Payload != nil {
-				shared = append([]byte(nil), f.Payload...)
-			}
-		}
-		cp := f
-		cp.Payload = shared
-		select {
-		case q.rx <- cp:
-			q.metrics.rxBytes.Add(uint64(len(cp.Payload)))
-		default:
-			h.metrics.framesDropped.Inc()
-			q.metrics.rxDrops.Inc()
-			h.trace.Emit("netsim", "rx_overflow", "dst", q.mac.String(), "len", len(cp.Payload))
-		}
+		q.enqueueLocked(f)
 	}
 }
 
-// deliverLocked pushes deliveries into receive queues. h.mu held; the
-// per-port closed flag is checked under the same lock, so a detaching
-// port can never see a send on its closed channel.
+// deliverLocked pushes deliveries into receive slabs. h.mu held; the
+// per-port closed flag is checked under the same lock, so a detached
+// port never receives.
 func (h *Hub) deliverLocked(deliveries []delivery) {
 	for _, d := range deliveries {
 		for _, q := range d.targets {
-			if q.closed {
-				continue
-			}
-			if q.ring {
+			if !q.closed {
 				q.enqueueLocked(d.frame)
-				continue
-			}
-			// The payload was already copied at the Send boundary, so the
-			// frame can be fanned out to every target as-is.
-			cp := d.frame
-			select {
-			case q.rx <- cp:
-				q.metrics.rxBytes.Add(uint64(len(cp.Payload)))
-			default:
-				h.metrics.framesDropped.Inc()
-				q.metrics.rxDrops.Inc()
-				h.trace.Emit("netsim", "rx_overflow", "dst", q.mac.String(), "len", len(cp.Payload))
 			}
 		}
 	}
 }
 
-// Recv returns the port's receive channel. The channel is closed when
-// the hub shuts down or the port is detached.
-func (p *Port) Recv() <-chan Frame { return p.rx }
-
-// Close detaches the port from the hub: its receive channel closes and
-// further Sends return ErrPortClosed. Frames addressed to it are
-// dropped on the floor, as they would be for an unplugged NIC.
+// Close detaches the port from the hub: DrainFrames reports
+// ErrPortClosed once the frames already queued are drained, and further
+// Sends return ErrPortClosed. Frames addressed to it are dropped on the
+// floor, as they would be for an unplugged NIC.
 func (p *Port) Close() {
 	p.hub.mu.Lock()
 	defer p.hub.mu.Unlock()
@@ -578,15 +503,11 @@ func (p *Port) Close() {
 	p.hub.ports = kept
 }
 
-// closeLocked closes the rx channel (or ring-mode wakeup channel)
-// exactly once. hub.mu held.
+// closeLocked wakes any waiting DrainFrames, exactly once. hub.mu
+// held.
 func (p *Port) closeLocked() {
 	if !p.closed {
 		p.closed = true
-		if p.ring {
-			close(p.closedCh)
-		} else {
-			close(p.rx)
-		}
+		close(p.closedCh)
 	}
 }

@@ -1,60 +1,38 @@
 package netsim
 
-// Ring-mode port coverage: DrainFrames batching, overflow policy,
-// close semantics, coexistence with channel-mode ports, and fault/
-// latency (slow-path) delivery into rings. Plus the paired delivery
-// benchmark that measures the copy the ring path removed.
+// Receive-ring coverage: frame views, DrainFrames batching, overflow
+// policy, close semantics, and fault/latency (slow-path) delivery into
+// rings. Plus the delivery benchmark behind the EXPERIMENTS.md E14
+// ingress numbers.
+//
+// A clean zero-latency wire delivers inside Send, so a DrainFrames
+// right after a Send returns without waiting.
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
-
-// drainOne blocks until the ring port yields at least one frame.
-func drainOne(t *testing.T, p *Port) []EthFrame {
-	t.Helper()
-	done := make(chan []EthFrame, 1)
-	go func() {
-		frames, err := p.DrainFrames(nil)
-		if err != nil {
-			done <- nil
-			return
-		}
-		done <- frames
-	}()
-	select {
-	case frames := <-done:
-		if frames == nil {
-			t.Fatal("DrainFrames failed")
-		}
-		return frames
-	case <-time.After(2 * time.Second):
-		t.Fatal("timed out draining ring port")
-		return nil
-	}
-}
 
 func TestRingDelivery(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	b, err := h.AttachRing(mac(2))
+	b, err := h.Attach(mac(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(Frame{Dst: mac(2), EtherType: EtherTypeIPv4, Payload: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
-	frames := drainOne(t, b)
-	if len(frames) != 1 {
+	frames, err := b.DrainFrames(nil)
+	if err != nil || len(frames) != 1 {
 		t.Fatalf("got %d frames, want 1", len(frames))
 	}
 	f := frames[0]
 	if f.Dst() != mac(2) || f.Src() != mac(1) || f.EtherType() != EtherTypeIPv4 {
 		t.Errorf("header mismatch: dst %s src %s type %#x", f.Dst(), f.Src(), f.EtherType())
 	}
-	if !bytes.Equal(f.Payload(), []byte("hi")) {
+	if string(f.Payload()) != "hi" {
 		t.Errorf("payload = %q", f.Payload())
 	}
 	if len(f.Bytes()) != EthHeaderLen+2 {
@@ -66,24 +44,20 @@ func TestRingBatchesUnderOneDrain(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	const n = 20
 	for i := 0; i < n; i++ {
 		a.Send(Frame{Dst: mac(2), Payload: []byte{byte(i)}})
 	}
-	got := 0
-	for got < n {
-		frames := drainOne(t, b)
-		for _, f := range frames {
-			if f.Payload()[0] != byte(got) {
-				t.Fatalf("frame %d carries payload %d (reordered?)", got, f.Payload()[0])
-			}
-			got++
-		}
-		// All n sends completed before the first drain, so the whole
-		// batch must arrive in one swap.
-		if got != n {
-			t.Fatalf("drain returned %d frames, want all %d in one batch", got, n)
+	// All n sends completed before the drain, so the whole batch must
+	// arrive in one swap.
+	frames, err := b.DrainFrames(nil)
+	if err != nil || len(frames) != n {
+		t.Fatalf("drain returned %d frames (%v), want all %d in one batch", len(frames), err, n)
+	}
+	for i, f := range frames {
+		if f.Payload()[0] != byte(i) {
+			t.Fatalf("frame %d carries payload %d (reordered?)", i, f.Payload()[0])
 		}
 	}
 }
@@ -92,7 +66,7 @@ func TestRingOverflowDropsNotBlocks(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	h.AttachRing(mac(2)) // never drained
+	h.Attach(mac(2)) // never drained
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < rxQueueDepth+50; i++ {
@@ -114,7 +88,7 @@ func TestRingOverflowDropsNotBlocks(t *testing.T) {
 func TestRingCloseDrainsLeftoversThenErrors(t *testing.T) {
 	h := NewHub()
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	a.Send(Frame{Dst: mac(2), Payload: []byte("last")})
 	h.Close()
 	// Frames enqueued before close must still come out...
@@ -134,7 +108,7 @@ func TestRingCloseDrainsLeftoversThenErrors(t *testing.T) {
 func TestRingStopChannelUnblocksDrain(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	stop := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
@@ -152,37 +126,19 @@ func TestRingStopChannelUnblocksDrain(t *testing.T) {
 	}
 }
 
-func TestRingAndChannelPortsCoexist(t *testing.T) {
-	h := NewHub()
-	defer h.Close()
-	a, _ := h.Attach(mac(1))
-	ring, _ := h.AttachRing(mac(2))
-	ch, _ := h.Attach(mac(3))
-	a.Send(Frame{Dst: Broadcast, Payload: []byte("arp?")})
-	frames := drainOne(t, ring)
-	if len(frames) != 1 || string(frames[0].Payload()) != "arp?" {
-		t.Fatalf("ring port missed broadcast")
-	}
-	f := recvWithTimeout(t, ch)
-	if string(f.Payload) != "arp?" {
-		t.Fatalf("channel port missed broadcast")
-	}
-}
-
 func TestRingPayloadIsolation(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	payload := []byte("mutate-me")
 	a.Send(Frame{Dst: mac(2), Payload: payload})
 	// Sender scribbling on its buffer after Send must not corrupt the
 	// delivered bytes — the fast path copies into the ring slab under
 	// the hub lock before Send returns.
 	payload[0] = 'X'
-	frames := drainOne(t, b)
-	if string(frames[0].Payload()) != "mutate-me" {
-		t.Errorf("ring saw sender's post-Send mutation: %q", frames[0].Payload())
+	if f := recvWithTimeout(t, b); string(f.Payload) != "mutate-me" {
+		t.Errorf("ring saw sender's post-Send mutation: %q", f.Payload)
 	}
 }
 
@@ -191,12 +147,11 @@ func TestRingReceivesViaLatencySlowPath(t *testing.T) {
 	defer h.Close()
 	h.SetLatency(5 * time.Millisecond)
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	start := time.Now()
 	a.Send(Frame{Dst: mac(2), Payload: []byte("late")})
-	frames := drainOne(t, b)
-	if string(frames[0].Payload()) != "late" {
-		t.Fatalf("payload = %q", frames[0].Payload())
+	if f := recvWithTimeout(t, b); string(f.Payload) != "late" {
+		t.Fatalf("payload = %q", f.Payload)
 	}
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
 		t.Errorf("latency not applied to ring delivery: %v", elapsed)
@@ -212,20 +167,16 @@ func TestRingReceivesViaFaultSlowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	a.Send(Frame{Dst: mac(2), Payload: []byte("twin")})
-	got := 0
-	deadline := time.Now().Add(2 * time.Second)
-	for got < 2 && time.Now().Before(deadline) {
-		for _, f := range drainOne(t, b) {
-			if string(f.Payload()) != "twin" {
-				t.Fatalf("payload = %q", f.Payload())
-			}
-			got++
-		}
+	got := recvFrames(b, 2, 2*time.Second)
+	if len(got) != 2 {
+		t.Fatalf("got %d copies, want 2", len(got))
 	}
-	if got != 2 {
-		t.Fatalf("got %d copies, want 2", got)
+	for _, f := range got {
+		if string(f.Payload) != "twin" {
+			t.Fatalf("payload = %q", f.Payload)
+		}
 	}
 }
 
@@ -233,41 +184,42 @@ func TestRingPartitionDrops(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	b, _ := h.AttachRing(mac(2))
+	b, _ := h.Attach(mac(2))
 	if err := h.PartitionPort(mac(2), 0); err != nil {
 		t.Fatal(err)
 	}
 	a.Send(Frame{Dst: mac(2), Payload: []byte("void")})
 	h.HealPort(mac(2))
 	a.Send(Frame{Dst: mac(2), Payload: []byte("ok")})
-	frames := drainOne(t, b)
-	if len(frames) != 1 || string(frames[0].Payload()) != "ok" {
-		t.Fatalf("partitioned frame leaked through: %d frames", len(frames))
+	got := recvFrames(b, -1, 50*time.Millisecond)
+	if len(got) != 1 || string(got[0].Payload) != "ok" {
+		t.Fatalf("partitioned frame leaked through: %d frames", len(got))
 	}
 }
 
+// Both attach constructors share one MAC check and one closed-hub
+// check: a promiscuous port cannot take a MAC already on the wire.
 func TestAttachRingRejectsDuplicateMAC(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	h.Attach(mac(1))
-	if _, err := h.AttachRing(mac(1)); err == nil {
+	if _, err := h.AttachPromiscuous(mac(1)); err == nil {
 		t.Fatal("duplicate MAC accepted")
 	}
 	h.Close()
-	if _, err := h.AttachRing(mac(9)); err != ErrHubClosed {
+	if _, err := h.Attach(mac(9)); err != ErrHubClosed {
 		t.Fatalf("attach on closed hub: err = %v, want ErrHubClosed", err)
 	}
 }
 
-// BenchmarkRingDelivery vs BenchmarkChannelDelivery: the same send/
-// receive round trip through both port modes. The channel path heap-
-// copies every payload at Send; the ring path's only copy is into the
-// receiver's slab. These are the EXPERIMENTS.md E14 ingress numbers.
+// BenchmarkRingDelivery is the send/receive round trip through a port:
+// the only copy is into the receiver's slab, and steady state
+// allocates nothing. This is the EXPERIMENTS.md E14 ingress number.
 func BenchmarkRingDelivery(b *testing.B) {
 	h := NewHub()
 	defer h.Close()
 	a, _ := h.Attach(mac(1))
-	r, _ := h.AttachRing(mac(2))
+	r, _ := h.Attach(mac(2))
 	payload := make([]byte, 512)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
@@ -284,29 +236,6 @@ func BenchmarkRingDelivery(b *testing.B) {
 					b.Fatal(err)
 				}
 				got += len(frames)
-			}
-		}
-	}
-}
-
-func BenchmarkChannelDelivery(b *testing.B) {
-	h := NewHub()
-	defer h.Close()
-	a, _ := h.Attach(mac(1))
-	r, _ := h.Attach(mac(2))
-	payload := make([]byte, 512)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	got := 0
-	for i := 0; i < b.N; i++ {
-		if err := a.Send(Frame{Dst: mac(2), EtherType: EtherTypeIPv4, Payload: payload}); err != nil {
-			b.Fatal(err)
-		}
-		if i%64 == 63 || i == b.N-1 {
-			for got <= i {
-				<-r.Recv()
-				got++
 			}
 		}
 	}

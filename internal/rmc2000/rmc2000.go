@@ -294,7 +294,21 @@ type NIC struct {
 	mu    sync.Mutex
 	txBuf []byte
 	rxBuf []byte
+
+	// batch is the rest of the last drained ring batch, handed out one
+	// frame per NICCmdPoll; the next drain happens only once it is
+	// empty, so its views stay valid. Owned by the commanding (CPU)
+	// goroutine.
+	batch []netsim.EthFrame
 }
+
+// nonBlocking is an already-closed stop channel: DrainFrames given it
+// returns the pending batch or ErrPortClosed without waiting.
+var nonBlocking = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // NIC commands written to PortNICCmd.
 const (
@@ -351,12 +365,16 @@ func (n *NIC) command(v uint8) {
 		n.txBuf = nil
 		n.mu.Unlock()
 	case NICCmdPoll:
-		select {
-		case f := <-n.port.Recv():
+		if len(n.batch) == 0 {
+			// An error means nothing is pending (or the port closed):
+			// either way the poll leaves the window as it is.
+			n.batch, _ = n.port.DrainFrames(nonBlocking)
+		}
+		if len(n.batch) > 0 {
 			n.mu.Lock()
-			n.rxBuf = append(n.rxBuf, f.Payload...)
+			n.rxBuf = append(n.rxBuf, n.batch[0].Payload()...)
 			n.mu.Unlock()
-		default:
+			n.batch = n.batch[1:]
 		}
 	}
 }

@@ -234,9 +234,9 @@ got:    ds 2
 	done := make(chan error, 1)
 	go func() { done <- b.Run(50_000_000) }()
 	// Host peer: wait for "hi", answer "yo".
-	f := <-peer.Recv()
-	if string(f.Payload) != "hi" {
-		t.Errorf("board sent %q", f.Payload)
+	frames, err := peer.DrainFrames(nil)
+	if err != nil || len(frames) != 1 || string(frames[0].Payload()) != "hi" {
+		t.Fatalf("board sent %d frames (%v), want one \"hi\"", len(frames), err)
 	}
 	peer.Send(netsim.Frame{Dst: netsim.Broadcast, Payload: []byte("yo")})
 	if err := <-done; err != nil {
@@ -245,6 +245,33 @@ got:    ds 2
 	addr := prog.Symbols["got"]
 	if b.CPU.Mem.Read(addr) != 'y' || b.CPU.Mem.Read(addr+1) != 'o' {
 		t.Errorf("board received %c%c", b.CPU.Mem.Read(addr), b.CPU.Mem.Read(addr+1))
+	}
+}
+
+// TestNICPollPullsOneFramePerCommand: frames that arrive together are
+// handed to the CPU one per NICCmdPoll, and a poll with nothing pending
+// returns at once with the window unchanged.
+func TestNICPollPullsOneFramePerCommand(t *testing.T) {
+	hub := netsim.NewHub()
+	defer hub.Close()
+	b, err := New(hub, netsim.MAC{2, 0, 0, 0, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := hub.Attach(netsim.MAC{2, 0, 0, 0, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := b.NIC
+	n.command(NICCmdPoll) // nothing on the wire yet
+	for _, p := range []string{"one", "two"} {
+		peer.Send(netsim.Frame{Dst: netsim.Broadcast, Payload: []byte(p)})
+	}
+	for _, want := range []string{"one", "onetwo", "onetwo"} {
+		n.command(NICCmdPoll)
+		if got := string(n.rxBuf); got != want {
+			t.Fatalf("window after poll = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -87,13 +87,22 @@ func (s *Stack) sendIPRaw(dst Addr, raw []byte) {
 		s.sendFrame(mac, netsim.EtherTypeIPv4, raw)
 		return
 	}
-	pend := s.arpPending[dst]
-	if len(pend) >= maxPendingARP {
-		return // drop; transport-level retransmission recovers
+	// A full queue drops the packet but still asks: every earlier
+	// request may have been lost, or the host may only now be up.
+	if pend := s.arpPending[dst]; len(pend) < maxPendingARP {
+		s.arpPending[dst] = append(pend, append([]byte(nil), raw...))
 	}
-	s.arpPending[dst] = append(pend, append([]byte(nil), raw...))
 	req := marshalARP(arpRequest, s.mac, s.ip, netsim.MAC{}, dst)
 	s.sendFrame(netsim.Broadcast, netsim.EtherTypeARP, req)
+}
+
+// forgetNeighbor drops the cached MAC for ip, so the next packet to it
+// resolves the address again. ARP frames carry no checksum, and wire
+// damage can teach a wrong mapping.
+func (s *Stack) forgetNeighbor(ip Addr) {
+	s.mu.Lock()
+	delete(s.arpCache, ip)
+	s.mu.Unlock()
 }
 
 // sendFrame transmits one frame. Called with s.mu held.

@@ -3,9 +3,9 @@
 // addresses and slicing payloads through an intermediate value), these
 // types validate the header once and then read fields in place — the
 // ingress path's half of the zero-copy story, mirroring appendTCPIP on
-// egress. parseIP and parseTCP remain as conform oracles: frame_test.go
-// diffs the views against them field-for-field, and FuzzFrameView keeps
-// the two in agreement over random input.
+// egress. parseIP and parseTCP live on as test oracles (oracle_test.go):
+// frame_test.go diffs the views against them field-for-field, and
+// FuzzFrameView keeps the two in agreement over random input.
 package tcpip
 
 import "errors"

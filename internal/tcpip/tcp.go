@@ -154,22 +154,6 @@ func appendTCPIP(buf []byte, src, dst Addr, seg tcpSegment) []byte {
 	return buf
 }
 
-func parseTCP(b []byte) (tcpSegment, bool) {
-	if len(b) < tcpHeaderLen {
-		return tcpSegment{}, false
-	}
-	off := int(b[12]>>4) * 4
-	if off < tcpHeaderLen || off > len(b) {
-		return tcpSegment{}, false
-	}
-	return tcpSegment{
-		srcPort: be16(b[0:]), dstPort: be16(b[2:]),
-		seq: be32(b[4:]), ack: be32(b[8:]),
-		flags: b[13] & 0x1f, window: be16(b[14:]),
-		payload: b[off:],
-	}, true
-}
-
 // Sequence-space comparisons (mod 2^32).
 func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
@@ -233,8 +217,10 @@ type TCB struct {
 	rttSeq   uint32 // sample completes when sndUna passes this
 	rttAt    time.Time
 
-	// onEstablished fires when SYN_RCVD completes (listener delivery).
-	onEstablished func(*TCB)
+	// lst is the listener holding a backlog slot for this TCB while its
+	// handshake is incomplete: the slot passes to Accept on ESTABLISHED
+	// and is released if the TCB dies first.
+	lst *Listener
 
 	// txScratch is the reusable segment marshal buffer (guarded by
 	// t.mu, like every send call); Port.Send copies at the wire
@@ -417,6 +403,11 @@ func (t *TCB) tick(now time.Time) {
 		t.abortLocked(ErrTimeout, true)
 		return
 	}
+	if t.retries >= 2 {
+		// Two timeouts in a row: the peer's cached MAC may be wrong, so
+		// this retransmission resolves it again.
+		t.stack.forgetNeighbor(t.remoteIP)
+	}
 	t.rto *= 2
 	if t.rto > maxRTO {
 		t.rto = maxRTO
@@ -496,7 +487,19 @@ func (t *TCB) abortLocked(err error, sendRST bool) {
 	t.state = stateClosed
 	t.rtoArmed = false
 	t.removeLocked()
+	t.releaseBacklogLocked()
 	t.cond.Broadcast()
+}
+
+// releaseBacklogLocked gives back the listener backlog slot of a TCB
+// that dies before completing its handshake. t.mu held.
+func (t *TCB) releaseBacklogLocked() {
+	if l := t.lst; l != nil {
+		t.lst = nil
+		l.mu.Lock()
+		l.pending--
+		l.mu.Unlock()
+	}
 }
 
 // handleSegment runs the state machine for one incoming segment.
@@ -550,10 +553,10 @@ func (t *TCB) handleSegment(seg tcpSegment) {
 			t.rtoArmed = false
 			t.retries = 0
 			t.rto = initialRTO
-			if cb := t.onEstablished; cb != nil {
-				t.onEstablished = nil
+			if l := t.lst; l != nil {
+				t.lst = nil
 				t.mu.Unlock()
-				cb(t)
+				l.deliver(t)
 				t.mu.Lock()
 			}
 			t.cond.Broadcast()
@@ -912,6 +915,14 @@ func (t *TCB) WaitClosed(timeout time.Duration) error {
 func (s *Stack) Connect(dst Addr, port uint16, timeout time.Duration) (*TCB, error) {
 	t := newTCB(s)
 	s.mu.Lock()
+	select {
+	case <-s.closed:
+		// Checked under s.mu, which Close takes after closing s.closed
+		// to reset every TCB: a dial either fails here or is reset.
+		s.mu.Unlock()
+		return nil, fmt.Errorf("tcpip: connect %s:%d: %w", dst, port, ErrStackClosed)
+	default:
+	}
 	local := s.ephemeralPort()
 	if local == 0 {
 		s.mu.Unlock()
@@ -1090,11 +1101,17 @@ func (s *Stack) demuxTCP(src Addr, seg tcpSegment) {
 	if !found && seg.flags&flagSYN != 0 && seg.flags&flagACK == 0 {
 		t, fresh = s.matchSYNLocked(src, seg, key)
 	}
+	var iss uint32
+	if fresh {
+		// Drawn under s.mu, as Connect draws its own: one stack both
+		// accepts and dials, and the generator is not safe to share.
+		iss = s.isn.Uint32()
+	}
 	s.mu.Unlock()
 	if t != nil && fresh {
 		// Bind outside s.mu (lock order: t.mu → s.mu only). If the
 		// socket was closed in the meantime, refuse the connection.
-		if !t.bindPassive(src, seg) {
+		if !t.bindPassive(src, seg, iss) {
 			s.mu.Lock()
 			if s.tcbs[key] == t {
 				delete(s.tcbs, key)
@@ -1139,7 +1156,7 @@ func (s *Stack) matchSYNLocked(src Addr, seg tcpSegment, key tcpKey) (*TCB, bool
 		}
 		t := newTCB(s)
 		t.localPort = port
-		t.onEstablished = l.deliver
+		t.lst = l
 		s.tcbs[key] = t
 		return t, true
 	}
@@ -1147,23 +1164,25 @@ func (s *Stack) matchSYNLocked(src Addr, seg tcpSegment, key tcpKey) (*TCB, bool
 }
 
 // bindPassive points a TCB at the SYN's originator and moves it to
-// SYN_RCVD. It reports false if the socket was concurrently closed.
-// The SYN-ACK itself is sent by handleSegment, which processes this
-// same SYN next and hits the SYN_RCVD duplicate-SYN path.
-func (t *TCB) bindPassive(src Addr, seg tcpSegment) bool {
+// SYN_RCVD with initial send sequence iss. It reports false if the
+// socket was concurrently closed. The SYN-ACK itself is sent by
+// handleSegment, which processes this same SYN next and hits the
+// SYN_RCVD duplicate-SYN path.
+func (t *TCB) bindPassive(src Addr, seg tcpSegment, iss uint32) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// A DC socket must still be listening; a fresh BSD-side TCB is in
 	// its virgin zero state. Anything else means a racing Close/abort.
 	if t.err != nil || (t.state != stateListen && t.state != stateClosed) ||
 		t.remotePort != 0 {
+		t.releaseBacklogLocked()
 		return false
 	}
 	t.remoteIP = src
 	t.remotePort = seg.srcPort
 	t.irs = seg.seq
 	t.rcvNxt = seg.seq + 1
-	t.iss = t.stack.isn.Uint32()
+	t.iss = iss
 	t.sndUna = t.iss
 	t.sndNxt = t.iss + 1
 	t.peerWnd = seg.window

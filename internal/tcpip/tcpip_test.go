@@ -2,7 +2,9 @@ package tcpip
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,6 +95,58 @@ func TestARPAndPing(t *testing.T) {
 	// Second ping uses the warmed ARP cache.
 	if err := stacks[0].Ping(stacks[1].Addr(), 2*time.Second); err != nil {
 		t.Fatalf("second ping: %v", err)
+	}
+}
+
+// A host that comes up after a neighbour's queue for it filled must
+// still be resolvable: the neighbour keeps asking.
+func TestARPResolvesAfterPendingQueueFills(t *testing.T) {
+	hub, stacks := testNet(t, 1)
+	late := IP4(10, 0, 0, 9)
+	stacks[0].mu.Lock()
+	for i := 0; i <= maxPendingARP; i++ {
+		stacks[0].sendIP(late, ProtoUDP, make([]byte, 8))
+	}
+	stacks[0].mu.Unlock()
+	s, err := NewStack(hub, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := stacks[0].Ping(late, 2*time.Second); err != nil {
+		t.Fatalf("ping after the ARP queue filled: %v", err)
+	}
+}
+
+// ARP frames carry no checksum, so wire damage can teach a wrong MAC.
+// A connection whose peer stops answering must re-resolve the peer's
+// address rather than retransmit into the void until it gives up.
+func TestRetransmitReresolvesPoisonedARP(t *testing.T) {
+	_, stacks := testNet(t, 2)
+	l, err := stacks[1].Listen(7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := stacks[0].Connect(stacks[1].Addr(), 7, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv, err := l.Accept(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	stacks[0].mu.Lock()
+	stacks[0].arpCache[stacks[1].Addr()] = netsim.MAC{0x02, 0xde, 0xad, 0, 0, 2}
+	stacks[0].mu.Unlock()
+	if _, err := c.Write([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	n, err := srv.ReadDeadline(buf, time.Now().Add(5*time.Second))
+	if err != nil || string(buf[:n]) != "ping" {
+		t.Fatalf("read %q, %v; want \"ping\" past the poisoned ARP entry", buf[:n], err)
 	}
 }
 
@@ -372,6 +426,35 @@ func TestTCPBacklogRefusesExcess(t *testing.T) {
 	}
 }
 
+// A handshake reset in SYN_RCVD must give its backlog slot back: on a
+// lossy wire half-open connections die all the time, and a listener
+// that kept their slots would drop every later SYN.
+func TestEmbryonicResetReleasesBacklog(t *testing.T) {
+	_, stacks := testNet(t, 2)
+	srv := stacks[1]
+	l, err := srv.Listen(7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := IP4(10, 0, 0, 9) // no such host: the SYN-ACKs go nowhere
+	const resets = 8
+	for i := 0; i < resets; i++ {
+		port := uint16(40000 + i)
+		srv.demuxTCP(peer, tcpSegment{srcPort: port, dstPort: 7, seq: 1000, flags: flagSYN, window: 4096})
+		srv.demuxTCP(peer, tcpSegment{srcPort: port, dstPort: 7, seq: 1001, flags: flagRST})
+	}
+	c, err := stacks[0].Connect(srv.Addr(), 7, 2*time.Second)
+	if err != nil {
+		t.Fatalf("connect after %d reset handshakes: %v", resets, err)
+	}
+	defer c.Close()
+	a, err := l.Accept(time.Second)
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	a.Close()
+}
+
 func TestListenOneBecomesConnection(t *testing.T) {
 	_, stacks := testNet(t, 2)
 	sock, err := stacks[1].ListenOne(2000)
@@ -524,6 +607,24 @@ func TestStackCloseAbortsConnections(t *testing.T) {
 	}
 }
 
+// A dial from a closed stack fails at once instead of waiting out its
+// timeout: a killed host's handlers must not hold its shutdown up.
+func TestConnectOnClosedStackFailsFast(t *testing.T) {
+	_, stacks := testNet(t, 2)
+	if _, err := stacks[1].Listen(7, 1); err != nil {
+		t.Fatal(err)
+	}
+	stacks[0].Close()
+	start := time.Now()
+	_, err := stacks[0].Connect(stacks[1].Addr(), 7, 5*time.Second)
+	if !errors.Is(err, ErrStackClosed) {
+		t.Fatalf("connect on closed stack: err = %v, want ErrStackClosed", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("connect on closed stack took %v", d)
+	}
+}
+
 func TestEphemeralPortsDistinct(t *testing.T) {
 	_, stacks := testNet(t, 2)
 	l, _ := stacks[1].Listen(7, 16)
@@ -652,5 +753,52 @@ func TestOOOBounded(t *testing.T) {
 	srv.mu.Unlock()
 	if n > maxOOOSegments {
 		t.Errorf("ooo buffer holds %d segments, cap %d", n, maxOOOSegments)
+	}
+}
+
+// TestAcceptWhileDialing has one stack accept connections while it
+// keeps dialing a closed port, so it draws initial sequence numbers for
+// passive and active opens at the same time. Run under -race it checks
+// that both draws are serialised on the stack's ISN generator.
+func TestAcceptWhileDialing(t *testing.T) {
+	_, stacks := testNet(t, 2)
+	srv, cli := stacks[0], stacks[1]
+	l, err := srv.Listen(7000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if c, err := srv.Connect(cli.Addr(), 9, time.Second); err == nil {
+					c.Close() // nothing listens on 9: refused is expected
+				}
+			}
+		}()
+	}
+	for k := 0; k < 256; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if c, err := cli.Connect(srv.Addr(), 7000, 5*time.Second); err == nil {
+				c.Close()
+			}
+		}()
+		c, err := l.Accept(5 * time.Second)
+		if err != nil {
+			t.Fatalf("accept %d: %v", k, err)
+		}
+		c.Close()
 	}
 }
