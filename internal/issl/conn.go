@@ -23,7 +23,13 @@ type Conn struct {
 	rng *prng.Xorshift
 	hs  handshakeState
 
+	// master is this connection's key-schedule secret, derived from
+	// the premaster (or the resumed secret) and both nonces. secret is
+	// the session's: the master of the full handshake that founded the
+	// session, carried unchanged through every resumption, so it is
+	// what Session, the cache and tickets hand to the next connection.
 	master []byte
+	secret []byte
 
 	wMu     sync.Mutex // guards write-side state and the rng
 	wCipher *aes.Cipher

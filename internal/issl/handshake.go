@@ -242,10 +242,10 @@ func (c *Conn) recvNewTicket() error {
 	return nil
 }
 
-// sendNewTicket mints a ticket over the connection's master secret and
-// sends it sealed under the new keys (server side, after Finished).
+// sendNewTicket mints a ticket over the session secret and sends it
+// sealed under the new keys (server side, after Finished).
 func (c *Conn) sendNewTicket() error {
-	tkt, err := c.cfg.TicketKeys.Seal(c.master)
+	tkt, err := c.cfg.TicketKeys.Seal(c.secret)
 	if err != nil {
 		return fmt.Errorf("%w: sealing ticket: %v", ErrHandshake, err)
 	}
@@ -434,7 +434,7 @@ func (c *Conn) serverHandshake() error {
 		return err
 	}
 	if cfg.Cache != nil {
-		cfg.Cache.put(c.sessionID, c.master)
+		cfg.Cache.put(c.sessionID, c.secret)
 	}
 	if err := c.recvFinished("client finished"); err != nil {
 		return err
@@ -453,8 +453,12 @@ func (c *Conn) serverHandshake() error {
 
 // --- key schedule ---------------------------------------------------------------
 
-// deriveKeys computes the master secret and installs directional
-// cipher/MAC state. isClient orients write vs read keys.
+// deriveKeys computes the connection's master secret and installs
+// directional cipher/MAC state. isClient orients write vs read keys.
+// It also fixes the session secret: a full handshake's master founds
+// the session, and a resumption, whose premaster is the resumed
+// secret, carries it over unchanged while its own keys still come
+// fresh from both nonces (the TLS rule).
 func (c *Conn) deriveKeys(isClient bool) error {
 	seed := make([]byte, 0, len("master")+2*randomLen)
 	seed = append(seed, "master"...)
@@ -462,6 +466,10 @@ func (c *Conn) deriveKeys(isClient bool) error {
 	seed = append(seed, c.hs.serverRandom[:]...)
 	master := sha1.HMAC(c.hs.premaster, seed)
 	c.master = master[:]
+	c.secret = c.master
+	if c.resumed {
+		c.secret = c.hs.premaster
+	}
 
 	keyBytes := c.cfg.KeyBits / 8
 	cKey := expand(c.master, "c key", keyBytes)

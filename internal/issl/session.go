@@ -177,7 +177,7 @@ func (c *Conn) Session() *Session {
 	return &Session{
 		ID:     c.sessionID,
 		Ticket: append([]byte(nil), c.ticket...),
-		master: append([]byte(nil), c.master...),
+		master: append([]byte(nil), c.secret...),
 	}
 }
 

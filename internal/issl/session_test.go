@@ -2,6 +2,7 @@ package issl
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -105,6 +106,120 @@ func TestRemovedSessionNotResumed(t *testing.T) {
 	if cli.Resumed() {
 		t.Error("evicted session was resumed")
 	}
+}
+
+// resumeChain runs one full handshake and then hops resumptions, each
+// offering the previous connection's Session(); server(i) is the
+// server config for connection i (0 is the full handshake). Every hop
+// must resume on both ends, carry data both ways, and hand the next
+// hop the same session secret the full handshake fixed.
+func resumeChain(t *testing.T, hops int, server func(i int) Config) {
+	t.Helper()
+	// handshakePair, except that a failed end closes its pipe, as a
+	// server closes its socket, so the other end fails too instead of
+	// waiting on net.Pipe for good.
+	pair := func(cliCfg, srvCfg Config) (*Conn, *Conn) {
+		ct, st := pipePair()
+		type res struct {
+			c   *Conn
+			err error
+		}
+		srvCh := make(chan res, 1)
+		go func() {
+			c, err := BindServer(st, srvCfg)
+			if err != nil {
+				st.Close()
+			}
+			srvCh <- res{c, err}
+		}()
+		cli, err := BindClient(ct, cliCfg)
+		if err != nil {
+			ct.Close()
+		}
+		srv := <-srvCh
+		if err != nil || srv.err != nil {
+			t.Fatalf("handshake: client %v; server %v", err, srv.err)
+		}
+		return cli, srv.c
+	}
+	cli, srv := pair(Config{Profile: ProfileUnix, Rand: prng.NewXorshift(301)}, server(0))
+	if cli.Resumed() || srv.Resumed() {
+		t.Fatal("first handshake claims resumption")
+	}
+	sess := cli.Session()
+	if sess == nil {
+		t.Fatal("no session after the full handshake")
+	}
+	secret := append([]byte(nil), sess.master...)
+	for i := 1; i <= hops; i++ {
+		cli, srv := pair(Config{Profile: ProfileUnix,
+			Rand: prng.NewXorshift(uint64(301 + 2*i)), Resume: sess}, server(i))
+		if !cli.Resumed() || !srv.Resumed() {
+			t.Fatalf("hop %d: resumed client=%v server=%v", i, cli.Resumed(), srv.Resumed())
+		}
+		echoOnce(t, cli, srv, fmt.Sprintf("hop %d up", i))
+		echoOnce(t, srv, cli, fmt.Sprintf("hop %d down", i))
+		if sess = cli.Session(); sess == nil {
+			t.Fatalf("hop %d: no session to resume from", i)
+		}
+		if !bytes.Equal(sess.master, secret) || !bytes.Equal(srv.secret, secret) {
+			t.Fatalf("hop %d: session secret changed along the chain", i)
+		}
+	}
+}
+
+// echoOnce writes msg on w and requires r to read it back unchanged.
+func echoOnce(t *testing.T, w, r *Conn, msg string) {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { _, err := w.Write([]byte(msg)); errc <- err }()
+	buf := make([]byte, 64)
+	n, err := r.Read(buf)
+	if err != nil || string(buf[:n]) != msg {
+		t.Fatalf("read %q, %v; want %q", buf[:n], err, msg)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("write %q: %v", msg, err)
+	}
+}
+
+// TestResumptionChainsViaCache: the session-ID cache path, no tickets.
+// A resumed connection's Session() must resume again — the cache holds
+// the full handshake's secret, so a per-connection one would fail
+// Finished on every second resumption.
+func TestResumptionChainsViaCache(t *testing.T) {
+	cache := NewSessionCache(16)
+	key := serverKey(t)
+	resumeChain(t, 3, func(i int) Config {
+		return Config{Profile: ProfileUnix, ServerKey: key,
+			Rand: prng.NewXorshift(uint64(400 + i)), Cache: cache}
+	})
+}
+
+// TestResumptionChainsViaTicket: the stateless path, no session cache.
+func TestResumptionChainsViaTicket(t *testing.T) {
+	store, _ := testStore(t, time.Hour)
+	key := serverKey(t)
+	resumeChain(t, 3, func(i int) Config {
+		return Config{Profile: ProfileUnix, ServerKey: key,
+			Rand: prng.NewXorshift(uint64(500 + i)), TicketKeys: store}
+	})
+}
+
+// TestResumptionChainsAcrossTicketInstances: two servers that share
+// only the ticket key material, the client alternating between them.
+func TestResumptionChainsAcrossTicketInstances(t *testing.T) {
+	storeA, _ := testStore(t, time.Hour)
+	storeB, _ := testStore(t, time.Hour)
+	key := serverKey(t)
+	resumeChain(t, 3, func(i int) Config {
+		store := storeA
+		if i%2 == 1 {
+			store = storeB
+		}
+		return Config{Profile: ProfileUnix, ServerKey: key,
+			Rand: prng.NewXorshift(uint64(600 + i)), TicketKeys: store}
+	})
 }
 
 func TestNoCacheNoSession(t *testing.T) {
@@ -238,8 +353,13 @@ func TestSessionCacheShardedConstruction(t *testing.T) {
 
 // TestE9ResumptionSpeedsUpHandshake measures the Goldberg et al.
 // mechanism the paper cites: resumed handshakes skip the RSA operation
-// and should be dramatically cheaper.
+// and should be dramatically cheaper. Full and resumed rounds
+// alternate, e9Rounds each, and each kind keeps its fastest round, as
+// RunE4 does: a round takes well under a millisecond, and other work on
+// the host only slows it down. Each resumed round resumes from the
+// previous round's session, so the rounds also walk a resumption chain.
 func TestE9ResumptionSpeedsUpHandshake(t *testing.T) {
+	const e9Rounds = 5
 	cache := NewSessionCache(16)
 	key := serverKey(t)
 
@@ -268,25 +388,33 @@ func TestE9ResumptionSpeedsUpHandshake(t *testing.T) {
 		return cli, elapsed
 	}
 
-	cli, fullTime := doHandshake(nil, 100)
-	sess := cli.Session()
-	if sess == nil {
-		t.Fatal("no session")
-	}
-	// Average a few resumed handshakes.
-	var resumedTotal time.Duration
-	const n = 5
-	for i := 0; i < n; i++ {
-		rc, d := doHandshake(sess, uint64(200+i))
-		if !rc.Resumed() {
-			t.Fatal("handshake not resumed")
+	var sess *Session
+	var full, resumed time.Duration
+	for i := 0; i < e9Rounds; i++ {
+		fc, d := doHandshake(nil, uint64(100+4*i))
+		if fc.Resumed() {
+			t.Fatal("full round resumed")
 		}
-		resumedTotal += d
+		if full == 0 || d < full {
+			full = d
+		}
+		if sess == nil {
+			sess = fc.Session()
+		}
+		rc, d := doHandshake(sess, uint64(102+4*i))
+		if !rc.Resumed() {
+			t.Fatalf("round %d: handshake not resumed", i)
+		}
+		if resumed == 0 || d < resumed {
+			resumed = d
+		}
+		if sess = rc.Session(); sess == nil {
+			t.Fatalf("round %d: no session to resume from", i)
+		}
 	}
-	resumedAvg := resumedTotal / n
-	t.Logf("E9: full handshake %v, resumed %v (%.1fx faster)",
-		fullTime, resumedAvg, float64(fullTime)/float64(resumedAvg))
-	if resumedAvg >= fullTime {
-		t.Errorf("resumption not faster: full=%v resumed=%v", fullTime, resumedAvg)
+	t.Logf("E9: fastest of %d: full handshake %v, resumed %v (%.1fx faster)",
+		e9Rounds, full, resumed, float64(full)/float64(resumed))
+	if resumed >= full {
+		t.Errorf("resumption not faster: full=%v resumed=%v", full, resumed)
 	}
 }

@@ -507,7 +507,11 @@ func startBackend(s *tcpip.Stack, gate *killGate) error {
 	}
 	go func() {
 		for {
-			conn, err := l.Accept(30 * time.Second)
+			// No accept timeout: Accept fails only once the stack
+			// closes. An idle spell, such as every client waiting out a
+			// stalled request, must not end the backend and strand
+			// every retry in the listen queue.
+			conn, err := l.Accept(0)
 			if err != nil {
 				return
 			}

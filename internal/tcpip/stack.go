@@ -26,6 +26,7 @@ type Stack struct {
 
 	udpConns  map[uint16]*UDPConn
 	tcbs      map[tcpKey]*TCB
+	portRefs  map[uint16]int // TCBs in tcbs per local port (insertTCBLocked, deleteTCBLocked)
 	listeners map[uint16]*Listener
 	dcListen  map[uint16][]*TCB // Dynamic-C-style one-shot listening TCBs
 	nextPort  uint16
@@ -50,6 +51,7 @@ type stackMetrics struct {
 	segsRcvd      *telemetry.Counter
 	retransmits   *telemetry.Counter
 	checksumDrops *telemetry.Counter
+	noEphemeral   *telemetry.Counter
 	rttUs         *telemetry.Histogram
 }
 
@@ -59,12 +61,18 @@ func newStackMetrics(reg *telemetry.Registry) stackMetrics {
 		segsRcvd:      reg.Counter("tcp.segs_rcvd"),
 		retransmits:   reg.Counter("tcp.retransmits"),
 		checksumDrops: reg.Counter("tcp.checksum_drops"),
+		noEphemeral:   reg.Counter("tcpip.ephemeral_exhausted"),
 		rttUs:         reg.Histogram("tcp.rtt_us"),
 	}
 }
 
 // ErrStackClosed is returned by operations on a closed stack.
 var ErrStackClosed = errors.New("tcpip: stack closed")
+
+// ErrNoEphemeralPorts is returned by Connect and ListenUDP(0) when every
+// port of the ephemeral range is in use; each hit counts on the
+// tcpip.ephemeral_exhausted counter.
+var ErrNoEphemeralPorts = errors.New("tcpip: no free ephemeral ports")
 
 // NewStack attaches a new host to the hub with the given IP. The MAC
 // is derived from the IP (locally administered). The stack's telemetry
@@ -91,6 +99,7 @@ func NewStackWithTelemetry(hub *netsim.Hub, ip Addr, reg *telemetry.Registry, tr
 		arpPending: map[Addr][][]byte{},
 		udpConns:   map[uint16]*UDPConn{},
 		tcbs:       map[tcpKey]*TCB{},
+		portRefs:   map[uint16]int{},
 		listeners:  map[uint16]*Listener{},
 		dcListen:   map[uint16][]*TCB{},
 		nextPort:   49152,
@@ -216,8 +225,36 @@ func (s *Stack) timerLoop() {
 	}
 }
 
-// ephemeralPort allocates a port for outgoing connections. Called with
+// insertTCBLocked registers t in the connection table under k and
+// counts it against its local port. It is the only insert into s.tcbs.
 // s.mu held.
+func (s *Stack) insertTCBLocked(k tcpKey, t *TCB) {
+	if _, dup := s.tcbs[k]; !dup {
+		s.portRefs[k.localPort]++
+	}
+	s.tcbs[k] = t
+}
+
+// deleteTCBLocked unregisters t from k if t is still the TCB there,
+// releasing its local-port count. It is the only delete from s.tcbs.
+// s.mu held.
+func (s *Stack) deleteTCBLocked(k tcpKey, t *TCB) {
+	if s.tcbs[k] != t {
+		return
+	}
+	delete(s.tcbs, k)
+	if n := s.portRefs[k.localPort] - 1; n > 0 {
+		s.portRefs[k.localPort] = n
+	} else {
+		delete(s.portRefs, k.localPort)
+	}
+}
+
+// ephemeralPort allocates a port for outgoing connections, or returns
+// 0 (and counts the hit) when the whole range is in use. A port is
+// free when no listener, UDP socket or TCB holds it; the TCB check
+// reads the per-port count, so the cost does not grow with the number
+// of open or TIME_WAIT connections. Called with s.mu held.
 func (s *Stack) ephemeralPort() uint16 {
 	for i := 0; i < 16384; i++ {
 		p := s.nextPort
@@ -231,17 +268,11 @@ func (s *Stack) ephemeralPort() uint16 {
 		if _, taken := s.udpConns[p]; taken {
 			continue
 		}
-		inUse := false
-		for k := range s.tcbs {
-			if k.localPort == p {
-				inUse = true
-				break
-			}
-		}
-		if !inUse {
+		if s.portRefs[p] == 0 {
 			return p
 		}
 	}
+	s.metrics.noEphemeral.Inc()
 	return 0
 }
 
@@ -336,7 +367,9 @@ func (s *Stack) ListenUDP(port uint16) (*UDPConn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if port == 0 {
-		port = s.ephemeralPort()
+		if port = s.ephemeralPort(); port == 0 {
+			return nil, fmt.Errorf("tcpip: udp: %w", ErrNoEphemeralPorts)
+		}
 	}
 	if _, ok := s.udpConns[port]; ok {
 		return nil, fmt.Errorf("%w: udp/%d", ErrPortInUse, port)

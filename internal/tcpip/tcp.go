@@ -444,11 +444,8 @@ func (t *TCB) tick(now time.Time) {
 // removeLocked unregisters the TCB from the stack. t.mu held.
 // Lock order is always t.mu → s.mu; nothing may take t.mu under s.mu.
 func (t *TCB) removeLocked() {
-	key := tcpKey{t.remoteIP, t.remotePort, t.localPort}
 	t.stack.mu.Lock()
-	if t.stack.tcbs[key] == t {
-		delete(t.stack.tcbs, key)
-	}
+	t.stack.deleteTCBLocked(tcpKey{t.remoteIP, t.remotePort, t.localPort}, t)
 	// A LISTEN-state Dynamic-C socket lives in dcListen instead.
 	if ls := t.stack.dcListen[t.localPort]; len(ls) > 0 {
 		kept := ls[:0]
@@ -691,10 +688,23 @@ func (t *TCB) drainOOO() {
 	}
 }
 
+// enterTimeWait parks the TCB for timeWaitDelay to absorb a
+// retransmitted FIN. A TIME_WAIT TCB sends at most a bare ACK and
+// takes in no more data, so it hands its buffers back: the marshal
+// scratch, the send buffer once every byte is acked, and the receive
+// side once the reader has consumed every byte and holds no Peek view.
+// t.mu held.
 func (t *TCB) enterTimeWait() {
 	t.state = stateTimeWait
 	t.rtoArmed = false
 	t.timeWaitAt = time.Now().Add(timeWaitDelay)
+	t.txScratch = nil
+	if t.sndLen() == 0 {
+		t.sndBuf, t.sndStart = nil, 0
+	}
+	if t.rcvLen() == 0 && !t.rcvPinned && len(t.rcvPending) == 0 {
+		t.rcvBuf, t.rcvStart, t.rcvPending, t.ooo = nil, 0, nil, nil
+	}
 }
 
 // --- Public connection API ------------------------------------------------
@@ -926,7 +936,7 @@ func (s *Stack) Connect(dst Addr, port uint16, timeout time.Duration) (*TCB, err
 	local := s.ephemeralPort()
 	if local == 0 {
 		s.mu.Unlock()
-		return nil, errors.New("tcpip: no free ephemeral ports")
+		return nil, fmt.Errorf("tcpip: connect %s:%d: %w", dst, port, ErrNoEphemeralPorts)
 	}
 	t.localPort = local
 	t.remoteIP = dst
@@ -935,7 +945,7 @@ func (s *Stack) Connect(dst Addr, port uint16, timeout time.Duration) (*TCB, err
 	t.sndUna = t.iss
 	t.sndNxt = t.iss + 1
 	t.state = stateSynSent
-	s.tcbs[tcpKey{dst, port, local}] = t
+	s.insertTCBLocked(tcpKey{dst, port, local}, t)
 	s.mu.Unlock()
 
 	t.mu.Lock()
@@ -1113,9 +1123,7 @@ func (s *Stack) demuxTCP(src Addr, seg tcpSegment) {
 		// socket was closed in the meantime, refuse the connection.
 		if !t.bindPassive(src, seg, iss) {
 			s.mu.Lock()
-			if s.tcbs[key] == t {
-				delete(s.tcbs, key)
-			}
+			s.deleteTCBLocked(key, t)
 			s.mu.Unlock()
 			s.sendRST(src, seg)
 			return
@@ -1141,7 +1149,7 @@ func (s *Stack) matchSYNLocked(src Addr, seg tcpSegment, key tcpKey) (*TCB, bool
 		if len(s.dcListen[port]) == 0 {
 			delete(s.dcListen, port)
 		}
-		s.tcbs[key] = t
+		s.insertTCBLocked(key, t)
 		return t, true
 	}
 	if l, ok := s.listeners[port]; ok {
@@ -1157,7 +1165,7 @@ func (s *Stack) matchSYNLocked(src Addr, seg tcpSegment, key tcpKey) (*TCB, bool
 		t := newTCB(s)
 		t.localPort = port
 		t.lst = l
-		s.tcbs[key] = t
+		s.insertTCBLocked(key, t)
 		return t, true
 	}
 	return nil, false
